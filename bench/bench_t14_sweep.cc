@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/thread_pool.h"
+#include "common/parallel.h"
 #include "driver/runner.h"
 
 using namespace tacc;
@@ -59,8 +59,7 @@ int
 main()
 {
     const driver::SweepSpec spec = scaling_spec();
-    const int parallel_workers =
-        std::min(8, ThreadPool::hardware_threads());
+    const int parallel_workers = std::min(8, tacc::hardware_threads());
     const int rounds = rounds_from_env();
 
     std::printf("T14: parallel sweep — %zu scenarios x %d jobs, "
@@ -105,7 +104,7 @@ main()
     std::fputs(table.str().c_str(), stdout);
     std::printf("median speedup %.2fx at %d workers "
                 "(hardware_concurrency %d); digests %s\n",
-                median, parallel_workers, ThreadPool::hardware_threads(),
+                median, parallel_workers, tacc::hardware_threads(),
                 all_identical ? "identical in every round"
                               : "DRIFTED — determinism violation");
     return all_identical ? 0 : 1;

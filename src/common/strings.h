@@ -4,6 +4,7 @@
  */
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,6 +28,21 @@ std::string_view trim(std::string_view s);
 
 /** True if s starts with prefix. */
 bool starts_with(std::string_view s, std::string_view prefix);
+
+/** Parses all of s as a base-10 integer into *out; false (and *out
+ *  untouched) on an empty string, trailing junk, or overflow. */
+template <class Int>
+bool
+parse_int(std::string_view s, Int *out)
+{
+    Int value{};
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+    if (ec != std::errc() || ptr != end)
+        return false;
+    *out = value;
+    return true;
+}
 
 /** Human-readable byte count, e.g. "1.50 GiB". */
 std::string format_bytes(uint64_t bytes);

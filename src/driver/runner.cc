@@ -6,9 +6,9 @@
 #include <sstream>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "common/proc.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "driver/digest.h"
 
 namespace tacc::driver {
@@ -52,39 +52,33 @@ run_sweep(const SweepSpec &spec, int workers)
 {
     const auto scenarios = expand_sweep(spec);
     if (workers <= 0)
-        workers = ThreadPool::hardware_threads();
+        workers = hardware_threads();
 
     SweepSummary summary;
     summary.workers = workers;
     summary.runs.resize(scenarios.size());
     const auto sweep_start = std::chrono::steady_clock::now();
-    {
-        ThreadPool pool(workers);
-        // The bulk path enqueues the whole grid as one task group —
-        // O(workers) chunk nodes sharing an index dispenser instead of
-        // one packaged_task allocation per scenario. Each run writes
-        // only its own indexed slot (and folds its digest right on the
-        // worker, overlapping aggregation with simulation), so digests
-        // stay byte-identical at any worker count. wait() rethrows the
-        // first failure (bad config, bad_alloc, ...) on the caller
-        // thread; remaining runs still finish first.
-        pool.submit_bulk(scenarios.size(), [&](size_t i) {
-            // One arena per pool worker: successive scenarios on
-            // this thread reuse the previous run's event slab and
-            // scheduler scratch instead of re-growing them.
-            thread_local core::StackArena arena;
-            RunResult &run = summary.runs[i];
-            run.scenario = scenarios[i];
-            const auto start = std::chrono::steady_clock::now();
-            run.result = core::run_scenario(scenarios[i].config, &arena);
-            run.wall_ms = elapsed_ms(start);
-            run.digest = scenario_digest(run.result);
-            if (run.wall_ms > 0) {
-                run.jobs_per_s = double(run.result.submitted) /
-                                 (run.wall_ms / 1000.0);
-            }
-        }).wait();
-    }
+    // Each run writes only its own indexed slot (and folds its digest
+    // right on the worker, overlapping aggregation with simulation), so
+    // digests stay byte-identical at any worker count. The first
+    // failure (bad config, bad_alloc, ...) is rethrown here once the
+    // remaining runs have finished.
+    parallel_for(scenarios.size(), workers, [&](size_t i) {
+        // One arena per worker thread: successive scenarios on this
+        // thread reuse the previous run's event slab and scheduler
+        // scratch instead of re-growing them.
+        thread_local core::StackArena arena;
+        RunResult &run = summary.runs[i];
+        run.scenario = scenarios[i];
+        const auto start = std::chrono::steady_clock::now();
+        run.result = core::run_scenario(scenarios[i].config, &arena);
+        run.wall_ms = elapsed_ms(start);
+        run.digest = scenario_digest(run.result);
+        if (run.wall_ms > 0) {
+            run.jobs_per_s = double(run.result.submitted) /
+                             (run.wall_ms / 1000.0);
+        }
+    });
     summary.wall_ms = elapsed_ms(sweep_start);
     summary.peak_rss_bytes = peak_rss_bytes();
     return summary;

@@ -2,7 +2,7 @@
  * @file
  * Parallel sweep runner.
  *
- * Executes every scenario of an expanded sweep on a ThreadPool. Each
+ * Executes every scenario of an expanded sweep with parallel_for. Each
  * simulation stays strictly single-threaded and owns all of its state
  * (one TaccStack per run), so worker concurrency is pure throughput:
  * results and digests are byte-identical at any worker count, which the
@@ -47,7 +47,7 @@ struct SweepSummary {
 
 /**
  * Runs the full grid with `workers` concurrent simulations (<= 0 uses
- * the hardware concurrency). Run order within the pool is arbitrary;
+ * the hardware concurrency). Run order across workers is arbitrary;
  * the returned summary is always in canonical expansion order.
  */
 SweepSummary run_sweep(const SweepSpec &spec, int workers);

@@ -6,8 +6,8 @@
  * told their objectives strictly in propose order — the only contract
  * the tuner honours. Because every RNG draw happens on the proposing /
  * observing thread (never inside an evaluation), search trajectories
- * are a pure function of (spec, seed) no matter how many pool workers
- * evaluate candidates or in which order their futures complete.
+ * are a pure function of (spec, seed) no matter how many worker threads
+ * evaluate candidates or in which order they finish.
  *
  * Two engines ship behind the interface:
  *

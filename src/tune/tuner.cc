@@ -6,8 +6,8 @@
 #include <sstream>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "core/config_io.h"
 #include "driver/digest.h"
 #include "driver/sweep.h"
@@ -443,7 +443,7 @@ StatusOr<TuneResult>
 run_tune(const TuneSpec &spec, int workers)
 {
     if (workers <= 0)
-        workers = ThreadPool::hardware_threads();
+        workers = hardware_threads();
     if (auto s = validate_weights(spec.weights); !s.is_ok())
         return s;
 
@@ -468,12 +468,11 @@ run_tune(const TuneSpec &spec, int workers)
                                         "mix and eval seed)");
 
     const auto tune_start = std::chrono::steady_clock::now();
-    ThreadPool pool(workers);
     std::map<std::vector<double>, EvalOutcome> cache;
 
     // Scores a batch of candidates. All simulation fan-out lives here;
     // results land in indexed slots, so outcomes come back in batch
-    // order no matter which pool worker finishes first.
+    // order no matter which worker finishes first.
     auto evaluate = [&](const std::vector<std::vector<double>> &batch,
                         std::vector<bool> *hit) {
         std::vector<const std::vector<double> *> fresh;
@@ -490,21 +489,19 @@ run_tune(const TuneSpec &spec, int workers)
         }
         std::vector<core::ScenarioResult> runs(fresh.size() *
                                                evals.size());
-        {
-            // Bulk task group over (candidate x eval point): results
-            // land in indexed slots, so pool scheduling order cannot
-            // leak into scores or digests (the determinism contract).
-            const size_t per_candidate = evals.size();
-            pool.submit_bulk(runs.size(), [&](size_t index) {
-                // One arena per pool worker (see run_sweep).
-                thread_local core::StackArena arena;
-                const size_t f = index / per_candidate;
-                const size_t e = index % per_candidate;
-                core::ScenarioConfig config = evals[e];
-                spec.space.apply(*fresh[f], &config.stack);
-                runs[index] = core::run_scenario(config, &arena);
-            }).wait();
-        }
+        // (candidate x eval point) runs land in indexed slots, so
+        // thread scheduling order cannot leak into scores or digests
+        // (the determinism contract).
+        const size_t per_candidate = evals.size();
+        parallel_for(runs.size(), workers, [&](size_t index) {
+            // One arena per worker thread (see run_sweep).
+            thread_local core::StackArena arena;
+            const size_t f = index / per_candidate;
+            const size_t e = index % per_candidate;
+            core::ScenarioConfig config = evals[e];
+            spec.space.apply(*fresh[f], &config.stack);
+            runs[index] = core::run_scenario(config, &arena);
+        });
         result.scenario_runs += runs.size();
         for (size_t f = 0; f < fresh.size(); ++f) {
             EvalOutcome out;

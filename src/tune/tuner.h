@@ -7,8 +7,8 @@
  * one candidate's score: every (mix, seed) pair is a full scenario run;
  * a candidate's objective is the mean of the scalarized objective over
  * all pairs, and its digest folds the per-run determinism digests in
- * canonical eval order. Candidate evaluations fan out across the
- * common thread pool, but results land in indexed slots and the
+ * canonical eval order. Candidate evaluations fan out through
+ * common/parallel's parallel_for, but results land in indexed slots and the
  * optimizer observes them strictly in propose order — so the best
  * configuration, the trajectory, and every digest are a pure function
  * of (spec, seed, budget) at any worker count.

@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "workload/task_spec.h"
 
 namespace tacc::workload {
@@ -35,6 +37,14 @@ struct InvalidCase {
     const char *label;
     void (*mutate)(TaskSpec &);
 };
+
+// Without a printer gtest lists each case as a dump of its two pointers,
+// so the listed test names would change whenever the binary's layout does.
+void
+PrintTo(const InvalidCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
 
 class TaskSpecValidation : public ::testing::TestWithParam<InvalidCase>
 {

@@ -4,7 +4,7 @@
  *
  * Expands a sweep spec (grid over power cap x policy / fault mode /
  * scheduler / placement / preemption mode / load / seed) into
- * independent scenario runs, executes them on a thread pool, and
+ * independent scenario runs, executes them in parallel, and
  * reports per-run metrics plus determinism digests.
  * The digests are the CI regression gate: any change to scheduling or
  * placement decisions moves a digest, and `--check-goldens` fails.
@@ -31,12 +31,12 @@
  * from the repo root and commit the refreshed digests file.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "common/table.h"
 #include "driver/runner.h"
 
@@ -119,8 +119,7 @@ main(int argc, char **argv)
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            opt.jobs = std::atoi(v);
-            if (opt.jobs < 0)
+            if (!parse_int(v, &opt.jobs) || opt.jobs < 0)
                 return usage(argv[0]);
         } else if (arg == "--out") {
             const char *v = value();

@@ -32,12 +32,12 @@
  * from the repo root and commit the refreshed best-config file.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <string>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "common/table.h"
 #include "tune/tuner.h"
 
@@ -123,21 +123,20 @@ main(int argc, char **argv)
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            opt.budget = std::atoi(v);
-            if (opt.budget <= 0)
+            if (!parse_int(v, &opt.budget) || opt.budget <= 0)
                 return usage(argv[0]);
         } else if (arg == "--seed") {
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
+            if (!parse_int(v, &opt.seed))
+                return usage(argv[0]);
             opt.have_seed = true;
-            opt.seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--jobs") {
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            opt.jobs = std::atoi(v);
-            if (opt.jobs < 0)
+            if (!parse_int(v, &opt.jobs) || opt.jobs < 0)
                 return usage(argv[0]);
         } else if (arg == "--out") {
             const char *v = value();

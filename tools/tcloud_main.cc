@@ -150,9 +150,12 @@ class Shell
             is >> path;
             replay(path);
         } else if (cmd == "demo") {
+            std::string count;
             int n = 10;
-            is >> n;
-            demo(n);
+            if (is >> count && (!parse_int(count, &n) || n < 0))
+                std::printf("usage: demo [n]  (n: job count >= 0)\n");
+            else
+                demo(n);
         } else if (cmd == "run") {
             double seconds = 60;
             is >> seconds;
