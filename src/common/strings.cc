@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -72,6 +73,27 @@ starts_with(std::string_view s, std::string_view prefix)
 {
     return s.size() >= prefix.size() &&
            s.substr(0, prefix.size()) == prefix;
+}
+
+bool
+parse_double(std::string_view s, double *out)
+{
+    double value = 0;
+    const char *end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data(), end, value);
+    if (ec != std::errc() || ptr != end || !std::isfinite(value))
+        return false;
+    *out = value;
+    return true;
+}
+
+bool
+parse_bool(std::string_view s, bool *out)
+{
+    if (s != "true" && s != "false")
+        return false;
+    *out = s == "true";
+    return true;
 }
 
 std::string

@@ -44,6 +44,14 @@ parse_int(std::string_view s, Int *out)
     return true;
 }
 
+/** Parses all of s as a finite decimal double into *out; false (and
+ *  *out untouched) on an empty string, trailing junk, nan, inf or
+ *  overflow. Locale-independent. */
+bool parse_double(std::string_view s, double *out);
+
+/** Parses exactly "true" or "false" into *out. */
+bool parse_bool(std::string_view s, bool *out);
+
 /** Human-readable byte count, e.g. "1.50 GiB". */
 std::string format_bytes(uint64_t bytes);
 

@@ -4,7 +4,8 @@
  *
  * Operators describe a TACC deployment (cluster shape, hardware
  * generations, scheduler, quotas, failure/checkpoint policy) in the same
- * `key: value` dialect as the task schema; parse_stack_config() turns it
+ * `key: value` dialect as the task schema (read by common/kv);
+ * parse_stack_config() turns it
  * into a StackConfig and stack_config_to_text() renders one back
  * (parse(render(c)) reproduces every field the format carries). Used by
  * the tcloud CLI (`open <file>`) and the capacity-planner tool.

@@ -3,7 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/strings.h"
+#include "common/kv.h"
 #include "core/config_io.h"
 #include "predict/config.h"
 #include "sched/placement.h"
@@ -13,62 +13,167 @@ namespace tacc::driver {
 
 namespace {
 
-Status
-bad(const std::string &key, const std::string &value)
-{
-    return Status::invalid_argument("bad value for " + key + ": " + value);
-}
-
-StatusOr<double>
-parse_double(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size())
-            return bad(key, value);
-        return v;
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-StatusOr<uint64_t>
-parse_u64(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            return bad(key, value);
-        return uint64_t(v);
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-/** Comma-separated list; empty entries rejected. */
-StatusOr<std::vector<std::string>>
-parse_list(const std::string &key, const std::string &value)
-{
-    std::vector<std::string> out;
-    for (const auto &part : split(value, ',')) {
-        const std::string item{trim(part)};
-        if (item.empty())
-            return bad(key, value);
-        out.push_back(item);
-    }
-    if (out.empty())
-        return bad(key, value);
-    return out;
-}
-
 /** Compact load rendering: x1, x1.4, x0.75 (no trailing zeros). */
 std::string
 load_tag(double load)
 {
     std::string s = strfmt("%g", load);
     return "x" + s;
+}
+
+/**
+ * The one rule behind the three gated axis pairs (estimator x bias,
+ * serve x burst, power cap x policy): points in listed order, every
+ * entry of `axis` with is_off() collapsing into the single unsuffixed
+ * `off` point at its first position, every other entry crossed with
+ * `gated`. Off entries ignore the gated list, so a plain spec's grid
+ * survives verbatim as the feature's axis grows.
+ */
+template <class A, class B, class IsOff>
+std::vector<std::pair<A, B>>
+gated_points(const std::vector<A> &axis, const std::vector<B> &gated,
+             IsOff is_off, std::pair<A, B> off)
+{
+    std::vector<std::pair<A, B>> points;
+    bool have_off = false;
+    for (const A &a : axis) {
+        if (!is_off(a)) {
+            for (const B &b : gated)
+                points.emplace_back(a, b);
+        } else if (!have_off) {
+            points.push_back(off);
+            have_off = true;
+        }
+    }
+    return points;
+}
+
+/** Trace and cluster sizes: positive, capped well below int overflow. */
+bool
+positive_count(int v)
+{
+    return v > 0 && v <= 1'000'000'000;
+}
+
+/** Reads a list whose every item must pass check (a Status naming the
+ *  bad item, e.g. "unknown scheduler: x"). */
+Status
+read_checked(const KvEntry &e, std::vector<std::string> *out,
+             Status (*check)(const std::string &))
+{
+    std::vector<std::string> list;
+    if (auto s = e.read_list(&list); !s.is_ok())
+        return s;
+    for (const auto &item : list) {
+        if (auto s = check(item); !s.is_ok())
+            return s;
+    }
+    *out = std::move(list);
+    return Status::ok();
+}
+
+/** One sweep-only key; everything else goes to apply_scenario_key. */
+Status
+apply_sweep_key(const KvEntry &e, const std::string &spec_dir,
+                SweepSpec &spec)
+{
+    const std::string &key = e.key;
+    if (key == "preset") {
+        // A deployment-dialect file (e.g. a tacc_tune winner) becomes
+        // the base stack; keys after this line and the axes still
+        // override it.
+        std::string path = e.value;
+        if (!spec_dir.empty() && !path.empty() && path[0] != '/')
+            path = spec_dir + "/" + path;
+        std::ifstream preset(path);
+        if (!preset)
+            return Status::not_found("cannot read preset: " + path);
+        std::ostringstream preset_text;
+        preset_text << preset.rdbuf();
+        auto stack = core::parse_stack_config(preset_text.str());
+        if (!stack.is_ok()) {
+            return Status::invalid_argument(
+                "preset " + path + ": " + stack.status().message());
+        }
+        spec.base.stack = std::move(stack).value();
+        spec.base.stack.emit_monitor_logs = false;
+        return Status::ok();
+    }
+    if (key == "schedulers") {
+        return read_checked(e, &spec.schedulers, [](const std::string &n) {
+            return sched::make_scheduler(n, {})
+                       ? Status::ok()
+                       : Status::invalid_argument("unknown scheduler: " + n);
+        });
+    }
+    if (key == "placements") {
+        return read_checked(e, &spec.placements, [](const std::string &n) {
+            return sched::make_placement_policy(n)
+                       ? Status::ok()
+                       : Status::invalid_argument("unknown placement: " + n);
+        });
+    }
+    if (key == "preempt_modes") {
+        return read_checked(e, &spec.preempt_modes, [](const std::string &m) {
+            core::StackConfig scratch;
+            return apply_preempt_mode(m, &scratch);
+        });
+    }
+    if (key == "fault_modes") {
+        return read_checked(e, &spec.fault_modes, [](const std::string &m) {
+            core::StackConfig scratch;
+            return apply_fault_mode(m, &scratch);
+        });
+    }
+    if (key == "power_policies") {
+        return read_checked(e, &spec.power_policies,
+                            [](const std::string &p) {
+                                core::StackConfig scratch;
+                                return apply_power_mode(1.0, p, &scratch);
+                            });
+    }
+    if (key == "estimator_modes") {
+        return read_checked(e, &spec.estimator_modes,
+                            [](const std::string &m) {
+                                core::StackConfig scratch;
+                                return apply_estimator_mode(m, 1.0, &scratch);
+                            });
+    }
+    if (key == "serve_modes") {
+        return read_checked(e, &spec.serve_modes, [](const std::string &m) {
+            core::StackConfig scratch;
+            return apply_serve_mode(m, 1.0, &scratch);
+        });
+    }
+    if (key == "power_caps") {
+        return e.read_list(&spec.power_caps,
+                           [](double v) { return v >= 0 && v <= 1e9; });
+    }
+    if (key == "mispredict_bias") {
+        return e.read_list(&spec.mispredict_bias,
+                           [](double v) { return v > 0 && v <= 100; });
+    }
+    if (key == "bursts") {
+        return e.read_list(&spec.bursts,
+                           [](double v) { return v >= 1 && v <= 100; });
+    }
+    if (key == "serve_rate_hz") {
+        return e.read(&spec.base.stack.serve.request_rate_hz,
+                      [](double v) { return v > 0 && v <= 1e6; });
+    }
+    if (key == "serve_horizon_s")
+        return e.read(&spec.base.stack.serve.horizon_s, positive);
+    if (key == "loads") {
+        return e.read_list(&spec.loads,
+                           [](double v) { return v > 0 && v <= 100; });
+    }
+    if (key == "seeds")
+        return e.read_list(&spec.seeds);
+    if (key == "node_mtbf_hours") {
+        return e.read(&spec.base.stack.exec.failure.node_mtbf_hours,
+                      non_negative);
+    }
+    return apply_scenario_key(e, &spec.base);
 }
 
 } // namespace
@@ -188,69 +293,44 @@ apply_estimator_mode(const std::string &mode, double bias,
     return Status::ok();
 }
 
+std::vector<std::pair<std::string, double>>
+SweepSpec::predict_points() const
+{
+    return gated_points(
+        estimator_modes, mispredict_bias,
+        [](const std::string &mode) { return mode == "limit"; },
+        std::pair<std::string, double>("", 1.0));
+}
+
+std::vector<std::pair<std::string, double>>
+SweepSpec::serve_points() const
+{
+    return gated_points(
+        serve_modes, bursts,
+        [](const std::string &mode) { return mode == "off"; },
+        std::pair<std::string, double>("", 1.0));
+}
+
+std::vector<std::pair<double, std::string>>
+SweepSpec::power_points() const
+{
+    return gated_points(power_caps, power_policies,
+                        [](double cap) { return cap <= 0; },
+                        std::pair<double, std::string>(0.0, ""));
+}
+
 std::vector<SweepScenario>
 expand_sweep(const SweepSpec &spec)
 {
-    // Estimator points in listed order; every "limit" collapses to the
-    // one unsuffixed prediction-off point (and bias only applies when
-    // prediction is on), so the pre-prediction grid survives verbatim.
-    std::vector<std::pair<std::string, double>> predict_points;
-    bool have_limit = false;
-    for (const auto &mode : spec.estimator_modes) {
-        if (mode == "limit") {
-            if (!have_limit) {
-                predict_points.emplace_back("", 1.0);
-                have_limit = true;
-            }
-        } else {
-            for (double bias : spec.mispredict_bias)
-                predict_points.emplace_back(mode, bias);
-        }
-    }
-
-    // Serve points in listed order; every "off" collapses to the one
-    // unsuffixed serving-off point (and bursts only apply when the
-    // plane is on), so the pre-serving grid survives verbatim.
-    std::vector<std::pair<std::string, double>> serve_points;
-    bool have_serve_off = false;
-    for (const auto &mode : spec.serve_modes) {
-        if (mode == "off") {
-            if (!have_serve_off) {
-                serve_points.emplace_back("", 1.0);
-                have_serve_off = true;
-            }
-        } else {
-            for (double burst : spec.bursts)
-                serve_points.emplace_back(mode, burst);
-        }
-    }
-
-    // Power points in listed order; every cap <= 0 collapses to the one
-    // unsuffixed power-off point so the pre-power grid survives verbatim
-    // (and the off point cannot collide with itself per policy).
-    std::vector<std::pair<double, std::string>> power_points;
-    bool have_off = false;
-    for (double cap : spec.power_caps) {
-        if (cap <= 0) {
-            if (!have_off) {
-                power_points.emplace_back(0.0, "");
-                have_off = true;
-            }
-        } else {
-            for (const auto &policy : spec.power_policies)
-                power_points.emplace_back(cap, policy);
-        }
-    }
-
     std::vector<SweepScenario> out;
     out.reserve(spec.grid_size());
     // Estimator is the outermost axis, then serve, then power, then
     // fault_modes, so "limit,<modes>", "off,<modes>", "0,<caps>" and
     // "none,<more>" specs keep the plain grid as an unchanged prefix of
     // the expansion.
-    for (const auto &[est_mode, est_bias] : predict_points) {
-    for (const auto &[serve_mode, burst] : serve_points) {
-    for (const auto &[cap_w, policy] : power_points) {
+    for (const auto &[est_mode, est_bias] : spec.predict_points()) {
+    for (const auto &[serve_mode, burst] : spec.serve_points()) {
+    for (const auto &[cap_w, policy] : spec.power_points()) {
         for (const auto &fault_mode : spec.fault_modes) {
             for (const auto &scheduler : spec.schedulers) {
                 for (const auto &placement : spec.placements) {
@@ -324,299 +404,54 @@ expand_sweep(const SweepSpec &spec)
     return out;
 }
 
+Status
+apply_scenario_key(const KvEntry &e, core::ScenarioConfig *base)
+{
+    const std::string &key = e.key;
+    workload::TraceConfig &trace = base->trace;
+    cluster::TopologyConfig &topo = base->stack.cluster.topology;
+    if (key == "jobs")
+        return e.read(&trace.num_jobs, positive_count);
+    if (key == "interarrival_s")
+        return e.read(&trace.mean_interarrival_s, positive);
+    if (key == "diurnal")
+        return e.read(&trace.diurnal);
+    if (key == "frac_interactive")
+        return e.read(&trace.frac_interactive, fraction);
+    if (key == "frac_best_effort")
+        return e.read(&trace.frac_best_effort, fraction);
+    if (key == "frac_deadline")
+        return e.read(&trace.frac_deadline, fraction);
+    if (key == "frac_elastic")
+        return e.read(&trace.frac_elastic, fraction);
+    if (key == "racks")
+        return e.read(&topo.racks, positive_count);
+    if (key == "nodes_per_rack")
+        return e.read(&topo.nodes_per_rack, positive_count);
+    if (key == "gpus_per_node")
+        return e.read(&base->stack.cluster.node.gpu_count, positive_count);
+    if (key == "oversubscription")
+        return e.read(&topo.oversubscription, at_least_one);
+    if (key == "max_events")
+        return e.read(&base->max_events, positive);
+    if (key == "streaming")
+        return e.read(&base->streaming);
+    if (key == "stream_window")
+        return e.read(&base->stream_window, positive);
+    return Status::invalid_argument("unknown key: " + key);
+}
+
 StatusOr<SweepSpec>
 parse_sweep_spec(const std::string &text, const std::string &spec_dir)
 {
     SweepSpec spec;
     // Sweeps never want per-node monitor log lines.
     spec.base.stack.emit_monitor_logs = false;
-
-    for (const auto &raw_line : split(text, '\n')) {
-        const std::string line{trim(raw_line)};
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            return Status::invalid_argument("malformed line: " + line);
-        const std::string key{trim(line.substr(0, colon))};
-        const std::string value{trim(line.substr(colon + 1))};
-
-        auto to_pos_int = [&](int &out) -> Status {
-            auto v = parse_u64(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() == 0 || v.value() > 1'000'000'000)
-                return bad(key, value);
-            out = int(v.value());
-            return Status::ok();
-        };
-        auto to_frac = [&](double &out) -> Status {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() < 0.0 || v.value() > 1.0)
-                return bad(key, value);
-            out = v.value();
-            return Status::ok();
-        };
-
-        if (key == "preset") {
-            // A deployment-dialect file (e.g. a tacc_tune winner)
-            // becomes the base stack; keys after this line and the
-            // axes still override it.
-            std::string path = value;
-            if (!spec_dir.empty() && !path.empty() && path[0] != '/')
-                path = spec_dir + "/" + path;
-            std::ifstream preset(path);
-            if (!preset) {
-                return Status::not_found("cannot read preset: " + path);
-            }
-            std::ostringstream preset_text;
-            preset_text << preset.rdbuf();
-            auto stack = core::parse_stack_config(preset_text.str());
-            if (!stack.is_ok()) {
-                return Status::invalid_argument(
-                    "preset " + path + ": " + stack.status().message());
-            }
-            spec.base.stack = std::move(stack).value();
-            spec.base.stack.emit_monitor_logs = false;
-        } else if (key == "schedulers") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            for (const auto &name : list.value()) {
-                if (!sched::make_scheduler(name, {}))
-                    return Status::invalid_argument(
-                        "unknown scheduler: " + name);
-            }
-            spec.schedulers = std::move(list).value();
-        } else if (key == "placements") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            for (const auto &name : list.value()) {
-                if (!sched::make_placement_policy(name))
-                    return Status::invalid_argument(
-                        "unknown placement: " + name);
-            }
-            spec.placements = std::move(list).value();
-        } else if (key == "preempt_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_preempt_mode(mode, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.preempt_modes = std::move(list).value();
-        } else if (key == "fault_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_fault_mode(mode, &scratch); !s.is_ok())
-                    return s;
-            }
-            spec.fault_modes = std::move(list).value();
-        } else if (key == "power_caps") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.power_caps.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() < 0.0 || v.value() > 1e9)
-                    return bad(key, item);
-                spec.power_caps.push_back(v.value());
-            }
-        } else if (key == "power_policies") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            for (const auto &policy : list.value()) {
-                core::StackConfig scratch;
-                if (auto s = apply_power_mode(1.0, policy, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.power_policies = std::move(list).value();
-        } else if (key == "estimator_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_estimator_mode(mode, 1.0, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.estimator_modes = std::move(list).value();
-        } else if (key == "mispredict_bias") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.mispredict_bias.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() <= 0.0 || v.value() > 100.0)
-                    return bad(key, item);
-                spec.mispredict_bias.push_back(v.value());
-            }
-        } else if (key == "serve_modes") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            core::StackConfig scratch;
-            for (const auto &mode : list.value()) {
-                if (auto s = apply_serve_mode(mode, 1.0, &scratch);
-                    !s.is_ok())
-                    return s;
-            }
-            spec.serve_modes = std::move(list).value();
-        } else if (key == "bursts") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.bursts.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() < 1.0 || v.value() > 100.0)
-                    return bad(key, item);
-                spec.bursts.push_back(v.value());
-            }
-        } else if (key == "serve_rate_hz") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() <= 0.0 || v.value() > 1e6)
-                return bad(key, value);
-            spec.base.stack.serve.request_rate_hz = v.value();
-        } else if (key == "serve_horizon_s") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() <= 0.0)
-                return bad(key, value);
-            spec.base.stack.serve.horizon_s = v.value();
-        } else if (key == "loads") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.loads.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_double(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                if (v.value() <= 0.0 || v.value() > 100.0)
-                    return bad(key, item);
-                spec.loads.push_back(v.value());
-            }
-        } else if (key == "seeds") {
-            auto list = parse_list(key, value);
-            if (!list.is_ok())
-                return list.status();
-            spec.seeds.clear();
-            for (const auto &item : list.value()) {
-                auto v = parse_u64(key, item);
-                if (!v.is_ok())
-                    return v.status();
-                spec.seeds.push_back(v.value());
-            }
-        } else if (key == "jobs") {
-            if (auto s = to_pos_int(spec.base.trace.num_jobs); !s.is_ok())
-                return s;
-        } else if (key == "interarrival_s") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() <= 0.0)
-                return bad(key, value);
-            spec.base.trace.mean_interarrival_s = v.value();
-        } else if (key == "diurnal") {
-            if (value == "true")
-                spec.base.trace.diurnal = true;
-            else if (value == "false")
-                spec.base.trace.diurnal = false;
-            else
-                return bad(key, value);
-        } else if (key == "frac_interactive") {
-            if (auto s = to_frac(spec.base.trace.frac_interactive);
-                !s.is_ok())
-                return s;
-        } else if (key == "frac_best_effort") {
-            if (auto s = to_frac(spec.base.trace.frac_best_effort);
-                !s.is_ok())
-                return s;
-        } else if (key == "frac_deadline") {
-            if (auto s = to_frac(spec.base.trace.frac_deadline);
-                !s.is_ok())
-                return s;
-        } else if (key == "frac_elastic") {
-            if (auto s = to_frac(spec.base.trace.frac_elastic); !s.is_ok())
-                return s;
-        } else if (key == "racks") {
-            if (auto s =
-                    to_pos_int(spec.base.stack.cluster.topology.racks);
-                !s.is_ok())
-                return s;
-        } else if (key == "nodes_per_rack") {
-            if (auto s = to_pos_int(
-                    spec.base.stack.cluster.topology.nodes_per_rack);
-                !s.is_ok())
-                return s;
-        } else if (key == "gpus_per_node") {
-            if (auto s =
-                    to_pos_int(spec.base.stack.cluster.node.gpu_count);
-                !s.is_ok())
-                return s;
-        } else if (key == "oversubscription") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() < 1.0)
-                return bad(key, value);
-            spec.base.stack.cluster.topology.oversubscription = v.value();
-        } else if (key == "node_mtbf_hours") {
-            auto v = parse_double(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() < 0.0)
-                return bad(key, value);
-            spec.base.stack.exec.failure.node_mtbf_hours = v.value();
-        } else if (key == "max_events") {
-            auto v = parse_u64(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() == 0)
-                return bad(key, value);
-            spec.base.max_events = v.value();
-        } else if (key == "streaming") {
-            if (value == "true")
-                spec.base.streaming = true;
-            else if (value == "false")
-                spec.base.streaming = false;
-            else
-                return bad(key, value);
-        } else if (key == "stream_window") {
-            auto v = parse_u64(key, value);
-            if (!v.is_ok())
-                return v.status();
-            if (v.value() == 0)
-                return bad(key, value);
-            spec.base.stream_window = size_t(v.value());
-        } else {
-            return Status::invalid_argument("unknown key: " + key);
-        }
-    }
+    if (auto s = read_kv(text, [&](const KvEntry &e) {
+            return apply_sweep_key(e, spec_dir, spec);
+        });
+        !s.is_ok())
+        return s;
     return spec;
 }
 

@@ -21,7 +21,10 @@
  * appends scenarios without renaming (or reordering) the existing
  * grid.
  *
- * Specs are written in the repo's `key: value` dialect:
+ * Specs are written in the repo's `key: value` dialect, read by
+ * common/kv like the task, deployment and tune dialects: every error
+ * names its line, and numbers are strict (whole value, finite, in
+ * range). Unknown keys are errors.
  *
  *   # axes (comma-separated lists)
  *   estimator_modes: limit,ema,regress   prediction authority axis
@@ -59,14 +62,14 @@
  *                            keys and the axes still override it.
  *                            Relative paths resolve against the spec
  *                            file's directory.
- *
- * Unknown keys are errors (same contract as the deployment dialect).
  */
 #pragma once
 
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/kv.h"
 #include "common/status.h"
 #include "core/scenario.h"
 
@@ -110,50 +113,18 @@ struct SweepSpec {
     std::vector<uint64_t> seeds = {1};
     ///@}
 
-    /** Expanded (cap, policy) points after the power-off collapse. */
-    size_t
-    power_point_count() const
-    {
-        size_t points = 0;
-        bool any_off = false;
-        for (double cap : power_caps) {
-            if (cap <= 0)
-                any_off = true;
-            else
-                points += power_policies.size();
-        }
-        return points + (any_off ? 1 : 0);
-    }
-
-    /** Expanded (mode, burst) points after the serving-off collapse. */
-    size_t
-    serve_point_count() const
-    {
-        size_t points = 0;
-        bool any_off = false;
-        for (const auto &mode : serve_modes) {
-            if (mode == "off")
-                any_off = true;
-            else
-                points += bursts.size();
-        }
-        return points + (any_off ? 1 : 0);
-    }
-
-    /** Expanded (mode, bias) points after the prediction-off collapse. */
-    size_t
-    predict_point_count() const
-    {
-        size_t points = 0;
-        bool any_off = false;
-        for (const auto &mode : estimator_modes) {
-            if (mode == "limit")
-                any_off = true;
-            else
-                points += mispredict_bias.size();
-        }
-        return points + (any_off ? 1 : 0);
-    }
+    /** @name Gated axis pairs
+     *  Expanded points in listed order after the off collapse (see the
+     *  file comment): the estimator off point is ("", 1), the serving
+     *  off point ("", 1), the power off point (0, ""). */
+    ///@{
+    std::vector<std::pair<std::string, double>> predict_points() const;
+    std::vector<std::pair<std::string, double>> serve_points() const;
+    std::vector<std::pair<double, std::string>> power_points() const;
+    size_t predict_point_count() const { return predict_points().size(); }
+    size_t serve_point_count() const { return serve_points().size(); }
+    size_t power_point_count() const { return power_points().size(); }
+    ///@}
 
     size_t
     grid_size() const
@@ -242,6 +213,15 @@ Status apply_power_mode(double cap_w, const std::string &policy,
  */
 Status apply_estimator_mode(const std::string &mode, double bias,
                             core::StackConfig *stack);
+
+/**
+ * Applies one base-scenario key shared by the sweep and tune dialects:
+ * jobs, interarrival_s, diurnal, frac_interactive / frac_best_effort /
+ * frac_deadline / frac_elastic, racks, nodes_per_rack, gpus_per_node,
+ * oversubscription, max_events, streaming, stream_window. Any other key
+ * is an "unknown key" error, so a dialect hands this its leftovers.
+ */
+Status apply_scenario_key(const KvEntry &e, core::ScenarioConfig *base);
 
 /** Expands the grid into runnable scenarios in canonical order. */
 std::vector<SweepScenario> expand_sweep(const SweepSpec &spec);

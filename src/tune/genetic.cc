@@ -182,7 +182,7 @@ make_optimizer(const std::string &name, const ParamSpace &space,
     if (name == "genetic") {
         std::unique_ptr<Optimizer> opt =
             std::make_unique<GeneticOptimizer>(space, normalized);
-        return std::move(opt);
+        return opt;
     }
     return Status::invalid_argument("unknown optimizer: " + name +
                            " (want sa or genetic)");

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/hash.h"
+#include "common/kv.h"
 #include "common/parallel.h"
 #include "common/strings.h"
 #include "core/config_io.h"
@@ -18,277 +19,111 @@ namespace tacc::tune {
 
 namespace {
 
+/** One key of the tune dialect; the scenario-base keys it shares with
+ *  the sweep dialect go to driver::apply_scenario_key. */
 Status
-bad(const std::string &key, const std::string &value)
-{
-    return Status::invalid_argument("bad value for " + key + ": " + value);
-}
-
-StatusOr<double>
-parse_double(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const double v = std::stod(value, &pos);
-        if (pos != value.size())
-            return bad(key, value);
-        return v;
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-StatusOr<uint64_t>
-parse_u64(const std::string &key, const std::string &value)
-{
-    try {
-        size_t pos = 0;
-        const unsigned long long v = std::stoull(value, &pos);
-        if (pos != value.size())
-            return bad(key, value);
-        return uint64_t(v);
-    } catch (const std::exception &) {
-        return bad(key, value);
-    }
-}
-
-StatusOr<std::vector<std::string>>
-parse_list(const std::string &key, const std::string &value)
-{
-    std::vector<std::string> out;
-    for (const auto &part : split(value, ',')) {
-        const std::string item{trim(part)};
-        if (item.empty())
-            return bad(key, value);
-        out.push_back(item);
-    }
-    if (out.empty())
-        return bad(key, value);
-    return out;
-}
-
-/** One key of the tune dialect (no line context; the loop adds it). */
-Status
-apply_tune_key(const std::string &key, const std::string &value,
-               TuneSpec &spec, double &power_cap_w,
+apply_tune_key(const KvEntry &e, TuneSpec &spec, double &power_cap_w,
                std::string &power_policy)
 {
-    auto to_pos_int = [&](int &out) -> Status {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() == 0 || v.value() > 1'000'000'000)
-            return bad(key, value);
-        out = int(v.value());
-        return Status::ok();
-    };
-    auto to_frac = [&](double &out) -> Status {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() < 0.0 || v.value() > 1.0)
-            return bad(key, value);
-        out = v.value();
-        return Status::ok();
-    };
-    auto to_nonneg = [&](double &out) -> Status {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() < 0.0)
-            return bad(key, value);
-        out = v.value();
-        return Status::ok();
-    };
-    auto to_pos = [&](double &out) -> Status {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() <= 0.0)
-            return bad(key, value);
-        out = v.value();
-        return Status::ok();
-    };
-
+    const std::string &key = e.key;
+    OptimizerConfig &search = spec.search;
+    ObjectiveWeights &weights = spec.weights;
     if (key == "optimizer") {
-        if (value != "sa" && value != "genetic")
-            return Status::invalid_argument("unknown optimizer: " + value +
+        if (e.value != "sa" && e.value != "genetic")
+            return Status::invalid_argument("unknown optimizer: " + e.value +
                                             " (want sa or genetic)");
-        spec.optimizer = value;
-    } else if (key == "budget") {
-        if (auto s = to_pos_int(spec.budget); !s.is_ok())
+        spec.optimizer = e.value;
+        return Status::ok();
+    }
+    if (key == "budget") {
+        return e.read(&spec.budget,
+                      [](int v) { return v > 0 && v <= 100'000; });
+    }
+    if (key == "seed")
+        return e.read(&search.seed);
+    if (key == "params") {
+        std::vector<std::string> names;
+        if (auto s = e.read_list(&names); !s.is_ok())
             return s;
-        if (spec.budget > 100'000)
-            return bad(key, value);
-    } else if (key == "seed") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        spec.search.seed = v.value();
-    } else if (key == "params") {
-        auto list = parse_list(key, value);
-        if (!list.is_ok())
-            return list.status();
-        auto space = ParamSpace::subset(list.value());
-        if (!space.is_ok())
-            return space.status();
-        spec.space = std::move(space).value();
-    } else if (key == "sa_chains") {
-        if (auto s = to_pos_int(spec.search.chains); !s.is_ok())
+        auto space = ParamSpace::subset(names);
+        if (space.is_ok())
+            spec.space = std::move(space).value();
+        return space.status();
+    }
+    if (key == "sa_chains")
+        return e.read(&search.chains, [](int v) { return v > 0 && v <= 64; });
+    if (key == "sa_init_temp")
+        return e.read(&search.init_temp, positive);
+    if (key == "sa_cooling")
+        return e.read(&search.cooling, positive_fraction);
+    if (key == "sa_step")
+        return e.read(&search.step_frac, positive_fraction);
+    if (key == "ga_population") {
+        return e.read(&search.population,
+                      [](int v) { return v >= 2 && v <= 256; });
+    }
+    if (key == "ga_elites")
+        return e.read(&search.elites, [](int v) { return v >= 0 && v <= 64; });
+    if (key == "ga_tournament") {
+        return e.read(&search.tournament,
+                      [](int v) { return v > 0 && v <= 1'000'000'000; });
+    }
+    if (key == "ga_mutation")
+        return e.read(&search.mutation, fraction);
+    if (key == "w_mean_jct")
+        return e.read(&weights.w_mean_jct, non_negative);
+    if (key == "w_p99_jct")
+        return e.read(&weights.w_p99_jct, non_negative);
+    if (key == "w_fairness")
+        return e.read(&weights.w_fairness, non_negative);
+    if (key == "w_energy")
+        return e.read(&weights.w_energy, non_negative);
+    if (key == "w_slo")
+        return e.read(&weights.w_slo, non_negative);
+    if (key == "jct_ref_s")
+        return e.read(&weights.jct_ref_s, positive);
+    if (key == "energy_ref_kwh")
+        return e.read(&weights.energy_ref_kwh, positive);
+    if (key == "mixes") {
+        std::vector<std::string> mixes;
+        if (auto s = e.read_list(&mixes); !s.is_ok())
             return s;
-        if (spec.search.chains > 64)
-            return bad(key, value);
-    } else if (key == "sa_init_temp") {
-        if (auto s = to_pos(spec.search.init_temp); !s.is_ok())
-            return s;
-    } else if (key == "sa_cooling") {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() <= 0.0 || v.value() > 1.0)
-            return bad(key, value);
-        spec.search.cooling = v.value();
-    } else if (key == "sa_step") {
-        if (auto s = to_pos(spec.search.step_frac); !s.is_ok())
-            return s;
-        if (spec.search.step_frac > 1.0)
-            return bad(key, value);
-    } else if (key == "ga_population") {
-        if (auto s = to_pos_int(spec.search.population); !s.is_ok())
-            return s;
-        if (spec.search.population < 2 || spec.search.population > 256)
-            return bad(key, value);
-    } else if (key == "ga_elites") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() > 64)
-            return bad(key, value);
-        spec.search.elites = int(v.value());
-    } else if (key == "ga_tournament") {
-        if (auto s = to_pos_int(spec.search.tournament); !s.is_ok())
-            return s;
-    } else if (key == "ga_mutation") {
-        if (auto s = to_frac(spec.search.mutation); !s.is_ok())
-            return s;
-    } else if (key == "w_mean_jct") {
-        if (auto s = to_nonneg(spec.weights.w_mean_jct); !s.is_ok())
-            return s;
-    } else if (key == "w_p99_jct") {
-        if (auto s = to_nonneg(spec.weights.w_p99_jct); !s.is_ok())
-            return s;
-    } else if (key == "w_fairness") {
-        if (auto s = to_nonneg(spec.weights.w_fairness); !s.is_ok())
-            return s;
-    } else if (key == "w_energy") {
-        if (auto s = to_nonneg(spec.weights.w_energy); !s.is_ok())
-            return s;
-    } else if (key == "w_slo") {
-        if (auto s = to_nonneg(spec.weights.w_slo); !s.is_ok())
-            return s;
-    } else if (key == "jct_ref_s") {
-        if (auto s = to_pos(spec.weights.jct_ref_s); !s.is_ok())
-            return s;
-    } else if (key == "energy_ref_kwh") {
-        if (auto s = to_pos(spec.weights.energy_ref_kwh); !s.is_ok())
-            return s;
-    } else if (key == "mixes") {
-        auto list = parse_list(key, value);
-        if (!list.is_ok())
-            return list.status();
         core::ScenarioConfig scratch;
-        for (const auto &mix : list.value()) {
+        for (const auto &mix : mixes) {
             if (auto s = apply_mix(mix, &scratch); !s.is_ok())
                 return s;
         }
-        spec.mixes = std::move(list).value();
-    } else if (key == "eval_seeds") {
-        auto list = parse_list(key, value);
-        if (!list.is_ok())
-            return list.status();
-        spec.eval_seeds.clear();
-        for (const auto &item : list.value()) {
-            auto v = parse_u64(key, item);
-            if (!v.is_ok())
-                return v.status();
-            spec.eval_seeds.push_back(v.value());
-        }
-    } else if (key == "scheduler") {
-        if (!sched::make_scheduler(value, {}))
-            return Status::invalid_argument("unknown scheduler: " + value);
-        spec.base.stack.scheduler = value;
-    } else if (key == "placement") {
-        if (!sched::make_placement_policy(value))
-            return Status::invalid_argument("unknown placement: " + value);
-        spec.base.stack.placement = value;
-    } else if (key == "preempt_mode") {
-        return driver::apply_preempt_mode(value, &spec.base.stack);
-    } else if (key == "fault_mode") {
-        return driver::apply_fault_mode(value, &spec.base.stack);
-    } else if (key == "power_cap_w") {
-        return to_nonneg(power_cap_w);
-    } else if (key == "power_policy") {
-        if (value != "admission" && value != "dvfs")
-            return Status::invalid_argument("unknown power policy: " +
-                                            value);
-        power_policy = value;
-    } else if (key == "jobs") {
-        return to_pos_int(spec.base.trace.num_jobs);
-    } else if (key == "interarrival_s") {
-        return to_pos(spec.base.trace.mean_interarrival_s);
-    } else if (key == "diurnal") {
-        if (value == "true")
-            spec.base.trace.diurnal = true;
-        else if (value == "false")
-            spec.base.trace.diurnal = false;
-        else
-            return bad(key, value);
-    } else if (key == "frac_interactive") {
-        return to_frac(spec.base.trace.frac_interactive);
-    } else if (key == "frac_best_effort") {
-        return to_frac(spec.base.trace.frac_best_effort);
-    } else if (key == "frac_deadline") {
-        return to_frac(spec.base.trace.frac_deadline);
-    } else if (key == "frac_elastic") {
-        return to_frac(spec.base.trace.frac_elastic);
-    } else if (key == "racks") {
-        return to_pos_int(spec.base.stack.cluster.topology.racks);
-    } else if (key == "nodes_per_rack") {
-        return to_pos_int(spec.base.stack.cluster.topology.nodes_per_rack);
-    } else if (key == "gpus_per_node") {
-        return to_pos_int(spec.base.stack.cluster.node.gpu_count);
-    } else if (key == "oversubscription") {
-        auto v = parse_double(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() < 1.0)
-            return bad(key, value);
-        spec.base.stack.cluster.topology.oversubscription = v.value();
-    } else if (key == "max_events") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() == 0)
-            return bad(key, value);
-        spec.base.max_events = v.value();
-    } else if (key == "streaming") {
-        if (value == "true")
-            spec.base.streaming = true;
-        else if (value == "false")
-            spec.base.streaming = false;
-        else
-            return bad(key, value);
-    } else if (key == "stream_window") {
-        auto v = parse_u64(key, value);
-        if (!v.is_ok())
-            return v.status();
-        if (v.value() == 0)
-            return bad(key, value);
-        spec.base.stream_window = size_t(v.value());
-    } else {
-        return Status::invalid_argument("unknown key: " + key);
+        spec.mixes = std::move(mixes);
+        return Status::ok();
     }
-    return Status::ok();
+    if (key == "eval_seeds")
+        return e.read_list(&spec.eval_seeds);
+    if (key == "scheduler") {
+        if (!sched::make_scheduler(e.value, {}))
+            return Status::invalid_argument("unknown scheduler: " + e.value);
+        spec.base.stack.scheduler = e.value;
+        return Status::ok();
+    }
+    if (key == "placement") {
+        if (!sched::make_placement_policy(e.value))
+            return Status::invalid_argument("unknown placement: " + e.value);
+        spec.base.stack.placement = e.value;
+        return Status::ok();
+    }
+    if (key == "preempt_mode")
+        return driver::apply_preempt_mode(e.value, &spec.base.stack);
+    if (key == "fault_mode")
+        return driver::apply_fault_mode(e.value, &spec.base.stack);
+    if (key == "power_cap_w")
+        return e.read(&power_cap_w, non_negative);
+    if (key == "power_policy") {
+        if (e.value != "admission" && e.value != "dvfs")
+            return Status::invalid_argument("unknown power policy: " +
+                                            e.value);
+        power_policy = e.value;
+        return Status::ok();
+    }
+    return driver::apply_scenario_key(e, &spec.base);
 }
 
 double
@@ -380,27 +215,11 @@ parse_tune_spec(const std::string &text)
     double power_cap_w = 0;
     std::string power_policy = "admission";
 
-    int lineno = 0;
-    for (const auto &raw_line : split(text, '\n')) {
-        ++lineno;
-        const std::string line{trim(raw_line)};
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos) {
-            return Status::invalid_argument(
-                strfmt("line %d: malformed line: ", lineno) + line);
-        }
-        const std::string key{trim(line.substr(0, colon))};
-        const std::string value{trim(line.substr(colon + 1))};
-        if (auto s = apply_tune_key(key, value, spec, power_cap_w,
-                                    power_policy);
-            !s.is_ok()) {
-            return Status::invalid_argument(
-                strfmt("line %d: ", lineno) + s.message());
-        }
-    }
-
+    if (auto s = read_kv(text, [&](const KvEntry &e) {
+            return apply_tune_key(e, spec, power_cap_w, power_policy);
+        });
+        !s.is_ok())
+        return s;
     if (auto s = driver::apply_power_mode(power_cap_w, power_policy,
                                           &spec.base.stack);
         !s.is_ok())

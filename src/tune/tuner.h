@@ -13,9 +13,10 @@
  * configuration, the trajectory, and every digest are a pure function
  * of (spec, seed, budget) at any worker count.
  *
- * Specs are written in the repo's `key: value` dialect (unknown keys
- * and out-of-range values are hard errors with line numbers, like the
- * deployment dialect):
+ * Specs are written in the repo's `key: value` dialect, read by
+ * common/kv like the task, deployment and sweep dialects: unknown keys
+ * and out-of-range values are errors that name their line, and numbers
+ * are strict (whole value, finite, in range):
  *
  *   # search
  *   optimizer: sa            sa | genetic
@@ -43,7 +44,7 @@
  *   power_policy: admission
  *   jobs / interarrival_s / diurnal / frac_* / racks / nodes_per_rack /
  *   gpus_per_node / oversubscription / max_events / streaming /
- *   stream_window: as in the sweep dialect
+ *   stream_window: as in the sweep dialect (driver::apply_scenario_key)
  */
 #pragma once
 

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "common/strings.h"
+#include "common/kv.h"
 
 namespace tacc::workload {
 
@@ -159,126 +159,80 @@ TaskSpec::parse(const std::string &text)
     TaskSpec spec;
     spec.artifacts.clear();
 
-    for (const auto &raw_line : split(text, '\n')) {
-        const std::string line{trim(raw_line)};
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t colon = line.find(':');
-        if (colon == std::string::npos)
-            return Status::invalid_argument("malformed line: " + line);
-        const std::string key{trim(line.substr(0, colon))};
-        const std::string value{trim(line.substr(colon + 1))};
-
-        auto to_int = [&](int64_t &out) -> Status {
-            try {
-                size_t pos = 0;
-                out = std::stoll(value, &pos);
-                if (pos != value.size())
-                    throw std::invalid_argument(value);
-            } catch (const std::exception &) {
-                return Status::invalid_argument("bad integer for " + key +
-                                                ": " + value);
-            }
+    auto apply = [&spec](const KvEntry &e) -> Status {
+        const std::string &key = e.key;
+        if (key == "task")
+            return e.read(&spec.name);
+        if (key == "user")
+            return e.read(&spec.user);
+        if (key == "group")
+            return e.read(&spec.group);
+        if (key == "gpus")
+            return e.read(&spec.gpus);
+        if (key == "gpu_model") {
+            spec.gpu_model = e.value;
             return Status::ok();
-        };
-        auto to_double = [&](double &out) -> Status {
-            try {
-                size_t pos = 0;
-                out = std::stod(value, &pos);
-                if (pos != value.size())
-                    throw std::invalid_argument(value);
-            } catch (const std::exception &) {
-                return Status::invalid_argument("bad number for " + key +
-                                                ": " + value);
-            }
-            return Status::ok();
-        };
-
-        int64_t iv = 0;
-        if (key == "task") {
-            spec.name = value;
-        } else if (key == "user") {
-            spec.user = value;
-        } else if (key == "group") {
-            spec.group = value;
-        } else if (key == "gpus") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.gpus = int(iv);
-        } else if (key == "gpu_model") {
-            spec.gpu_model = value;
-        } else if (key == "gpus_per_node_limit") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.gpus_per_node_limit = int(iv);
-        } else if (key == "cpu_cores_per_gpu") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.cpu_cores_per_gpu = int(iv);
-        } else if (key == "memory_gb_per_gpu") {
-            if (auto s = to_double(spec.memory_gb_per_gpu); !s.is_ok())
-                return s;
-        } else if (key == "qos") {
-            auto q = parse_qos_class(value);
-            if (!q.is_ok())
-                return q.status();
-            spec.qos = q.value();
-        } else if (key == "preemptible") {
-            if (value != "true" && value != "false")
-                return Status::invalid_argument("bad bool: " + value);
-            spec.preemptible = value == "true";
-        } else if (key == "time_limit_s") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.time_limit = Duration::seconds(iv);
-        } else if (key == "deadline_s") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.deadline = Duration::seconds(iv);
-        } else if (key == "model") {
-            spec.model = value;
-        } else if (key == "iterations") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.iterations = iv;
-        } else if (key == "artifact") {
-            const auto parts = split(value, ',');
-            if (parts.size() != 3)
-                return Status::invalid_argument("bad artifact: " + value);
-            Artifact a;
-            a.name = std::string(trim(parts[0]));
-            try {
-                a.bytes = std::stoull(std::string(trim(parts[1])));
-                a.version = std::stoull(std::string(trim(parts[2])));
-            } catch (const std::exception &) {
-                return Status::invalid_argument("bad artifact: " + value);
-            }
-            spec.artifacts.push_back(std::move(a));
-        } else if (key == "runtime") {
-            auto r = parse_runtime_pref(value);
-            if (!r.is_ok())
-                return r.status();
-            spec.runtime = r.value();
-        } else if (key == "transport") {
-            auto t = parse_transport_pref(value);
-            if (!t.is_ok())
-                return t.status();
-            spec.transport = t.value();
-        } else if (key == "image") {
-            spec.image = value;
-        } else if (key == "min_gpus") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.min_gpus = int(iv);
-        } else if (key == "max_gpus") {
-            if (auto s = to_int(iv); !s.is_ok())
-                return s;
-            spec.max_gpus = int(iv);
-        } else {
-            return Status::invalid_argument("unknown key: " + key);
         }
-    }
-
+        if (key == "gpus_per_node_limit")
+            return e.read(&spec.gpus_per_node_limit);
+        if (key == "cpu_cores_per_gpu")
+            return e.read(&spec.cpu_cores_per_gpu);
+        if (key == "memory_gb_per_gpu")
+            return e.read(&spec.memory_gb_per_gpu);
+        if (key == "qos") {
+            auto q = parse_qos_class(e.value);
+            if (q.is_ok())
+                spec.qos = q.value();
+            return q.status();
+        }
+        if (key == "preemptible")
+            return e.read(&spec.preemptible);
+        if (key == "time_limit_s" || key == "deadline_s") {
+            int64_t seconds = 0;
+            if (auto s = e.read(&seconds); !s.is_ok())
+                return s;
+            (key == "deadline_s" ? spec.deadline : spec.time_limit) =
+                Duration::seconds(seconds);
+            return Status::ok();
+        }
+        if (key == "model")
+            return e.read(&spec.model);
+        if (key == "iterations")
+            return e.read(&spec.iterations);
+        if (key == "artifact") {
+            const auto parts = e.items();
+            Artifact a;
+            if (parts.size() != 3 || !parse_int(parts[1], &a.bytes) ||
+                !parse_int(parts[2], &a.version))
+                return e.bad();
+            a.name = parts[0];
+            spec.artifacts.push_back(std::move(a));
+            return Status::ok();
+        }
+        if (key == "runtime") {
+            auto r = parse_runtime_pref(e.value);
+            if (r.is_ok())
+                spec.runtime = r.value();
+            return r.status();
+        }
+        if (key == "transport") {
+            auto t = parse_transport_pref(e.value);
+            if (t.is_ok())
+                spec.transport = t.value();
+            return t.status();
+        }
+        if (key == "image") {
+            spec.image = e.value;
+            return Status::ok();
+        }
+        if (key == "min_gpus")
+            return e.read(&spec.min_gpus);
+        if (key == "max_gpus")
+            return e.read(&spec.max_gpus);
+        return Status::invalid_argument("unknown key: " + key);
+    };
+    if (auto s = read_kv(text, apply); !s.is_ok())
+        return s;
     if (auto s = spec.validate(); !s.is_ok())
         return s;
     return spec;

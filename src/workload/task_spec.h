@@ -111,7 +111,9 @@ struct TaskSpec {
     /** Canonical text rendering (stable field order). */
     std::string to_text() const;
 
-    /** Parses the canonical text form. Unknown keys are an error. */
+    /** Parses the canonical text form (the common/kv dialect). Unknown
+     *  keys and bad values are errors that name their line; the whole
+     *  spec then goes through validate(). */
     static StatusOr<TaskSpec> parse(const std::string &text);
 
     bool operator==(const TaskSpec &o) const = default;

@@ -157,12 +157,18 @@ class Shell
             else
                 demo(n);
         } else if (cmd == "run") {
+            // Capped at ~31 years so now + s stays inside the clock.
+            std::string arg;
             double seconds = 60;
-            is >> seconds;
-            stack().run_until(stack().simulator().now() +
-                              Duration::from_seconds(seconds));
-            std::printf("now %s\n",
-                        stack().simulator().now().str().c_str());
+            if (is >> arg && (!parse_double(arg, &seconds) || seconds < 0 ||
+                              seconds > 1e9)) {
+                std::printf("usage: run <s>  (s: seconds, 0 to 1e9)\n");
+            } else {
+                stack().run_until(stack().simulator().now() +
+                                  Duration::from_seconds(seconds));
+                std::printf("now %s\n",
+                            stack().simulator().now().str().c_str());
+            }
         } else if (cmd == "drain") {
             // `drain <node>` evacuates one node; bare `drain` keeps the
             // historical meaning: run the simulation to completion.
